@@ -26,12 +26,13 @@ Key behaviours the paper's measurements rest on, and where they live here:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro._units import MiB
 from repro.devices.base import IOKind, IORequest, IOResult, StorageDevice
-from repro.devices.link import HostLink, LinkPowerTable
+from repro.devices.link import HostLink, LinkPowerMode, LinkPowerTable
 from repro.devices.power_states import NvmePowerState, PowerGovernor
 from repro.ftl.allocator import WriteAllocator
 from repro.ftl.gc import GarbageCollector, GcConfig
@@ -41,7 +42,7 @@ from repro.nand.die import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.obs.events import EventKind
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine, Event, Timeout
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
 
@@ -65,6 +66,283 @@ class _GovernorAdapter:
 
     def release(self, watts: float) -> None:
         self.governor.release(watts + self.extra_w)
+
+
+def _drive(generator, then) -> None:
+    """Run a process generator inline, as ``yield from`` would.
+
+    Each event the generator yields resumes it from that event's callback,
+    and ``then()`` runs in the callback the generator returns in: the
+    generator costs exactly the hops it yields and adds none of its own.
+    """
+
+    def resume(event: Event | None) -> None:
+        try:
+            if event is None:
+                target = next(generator)
+            elif event._ok:
+                target = generator.send(event._value)
+            else:
+                target = generator.throw(event._value)
+        except StopIteration:
+            pass
+        else:
+            target.add_callback(resume)
+            return
+        then()
+
+    resume(None)
+
+
+def _hop(engine: Engine, callback) -> None:
+    """Run ``callback`` on a fresh event firing now: a zero-delay hop."""
+    Timeout(engine, 0.0).callbacks.append(callback)
+
+
+class _SsdIo(Event):
+    """One host IO on a :class:`SimulatedSSD`, as a callback state machine.
+
+    The object is the IO's ``done`` event.  Each stage method is the
+    callback of exactly the event a generator process would wait on at
+    that point, created at the same moment, so every hop keeps its
+    ``(time, seq)`` place in the engine queue (DESIGN.md section 17):
+
+    - ``_start`` on the start hop;
+    - ``_core_granted`` on the core grant, ``_command_done`` on the
+      command timeout;
+    - reads: one :class:`_PageRead` per page, ``_page_done`` on each,
+      ``_request_link`` on the all-of hop;
+    - ``_link_granted`` on the link grant, ``_link_done`` on the link
+      timeout;
+    - writes: ``_reserve`` again on each buffer-admission wakeup;
+    - ``_complete`` on the completion timeout, which fires this event.
+
+    Fault delays and device/link wake stay generators, run inline by
+    :func:`_drive`.
+    """
+
+    __slots__ = ("device", "request", "submit_time", "_pages_left")
+
+    def __init__(self, device: "SimulatedSSD", request: IORequest) -> None:
+        Event.__init__(self, device.engine)
+        self.device = device
+        self.request = request
+        _hop(device.engine, self._start)
+
+    def _start(self, _event: Event) -> None:
+        device = self.device
+        request = self.request
+        engine = self.engine
+        self.submit_time = engine._now
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                EventKind.IO_SUBMIT,
+                f"{device.name}.io",
+                kind=request.kind.value,
+                offset=request.offset,
+                nbytes=request.nbytes,
+            )
+        device._last_activity = self.submit_time
+        device._inflight_ios += 1
+        if device.faults.enabled:
+            _drive(
+                device.faults.io_delay(f"{device.name}.io", request.kind.value),
+                self._wake_device,
+            )
+        else:
+            self._wake_device()
+
+    def _wake_device(self) -> None:
+        device = self.device
+        resident = device._resident
+        if resident is not None and not resident.operational:
+            _drive(device._wake(), self._request_core)
+        else:
+            self._request_core()
+
+    def _request_core(self) -> None:
+        self.device.cores.request().callbacks.append(self._core_granted)
+
+    def _core_granted(self, _event: Event) -> None:
+        device = self.device
+        device.rail.add_draw("ctrl.active", device._core_active_w)
+        Timeout(self.engine, device._command_time_s).callbacks.append(
+            self._command_done
+        )
+
+    def _command_done(self, _event: Event) -> None:
+        device = self.device
+        device.rail.add_draw("ctrl.active", -device._core_active_w)
+        device.cores.release()
+        request = self.request
+        if request.kind is not IOKind.READ:
+            self._request_link(None)
+            return
+        page_size = device._page_size
+        offset = request.offset
+        end = request.end
+        first = offset // page_size
+        last = (end - 1) // page_size
+        self._pages_left = last - first + 1
+        for lpn in range(first, last + 1):
+            page_start = lpn * page_size
+            nbytes = min(end, page_start + page_size) - max(offset, page_start)
+            _PageRead(self, lpn, nbytes)
+
+    def _page_done(self, _page: Event) -> None:
+        self._pages_left -= 1
+        if self._pages_left == 0:
+            _hop(self.engine, self._request_link)  # the all-of hop
+
+    def _request_link(self, _event: Event | None) -> None:
+        self.device.link._bus.request().callbacks.append(self._link_granted)
+
+    def _link_granted(self, _event: Event) -> None:
+        link = self.device.link
+        if link.mode is not LinkPowerMode.ACTIVE:
+            _drive(link._wake(), self._link_stream)
+        else:
+            self._link_stream()
+
+    def _link_stream(self) -> None:
+        link = self.device.link
+        link.rail.add_draw(link._xfer_component, link.transfer_power_w)
+        Timeout(self.engine, self.request.nbytes / link.bandwidth).callbacks.append(
+            self._link_done
+        )
+
+    def _link_done(self, _event: Event) -> None:
+        device = self.device
+        link = device.link
+        request = self.request
+        link.bytes_transferred += request.nbytes
+        link.rail.add_draw(link._xfer_component, -link.transfer_power_w)
+        link._bus.release()
+        if request.kind is IOKind.READ:
+            self._finish()
+            return
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            # Buffer admission is the capped-write stall mechanism (Fig. 5):
+            # a hit absorbs the write at DMA speed, a miss parks the host
+            # behind the throttled flush.
+            fits = device._buffer_used + request.nbytes <= device._write_buffer_bytes
+            tracer.emit(
+                EventKind.CACHE_HIT if fits else EventKind.CACHE_MISS,
+                f"{device.name}.wbuf",
+                nbytes=request.nbytes,
+                used=device._buffer_used,
+            )
+        self._reserve(None)
+
+    def _reserve(self, _event: Event | None) -> None:
+        """Take DRAM buffer space for the write, or park until a flush frees some."""
+        device = self.device
+        request = self.request
+        nbytes = request.nbytes
+        if device._buffer_used + nbytes > device._write_buffer_bytes:
+            event = Event(self.engine)
+            device._buffer_waiters.append(event)
+            event.callbacks.append(self._reserve)
+            return
+        device._buffer_used += nbytes
+        device.wear.record_host_write(nbytes)
+        device._stage_mapped_lpns(request)
+        page_size = device._page_size
+        device._pending_program_bytes += nbytes
+        while device._pending_program_bytes >= page_size:
+            device._pending_program_bytes -= page_size
+            self.engine.process(device._program_unit())
+        # Residual bytes stay buffered until later writes complete the page.
+        self._finish()
+
+    def _finish(self) -> None:
+        completion_time = self.device._completion_time_s
+        if completion_time > 0:
+            Timeout(self.engine, completion_time).callbacks.append(self._complete)
+        else:
+            self._complete(None)
+
+    def _complete(self, _event: Event | None) -> None:
+        device = self.device
+        request = self.request
+        engine = self.engine
+        device._inflight_ios -= 1
+        device._last_activity = engine._now
+        device.record_completion(request)
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                EventKind.IO_COMPLETE,
+                f"{device.name}.io",
+                kind=request.kind.value,
+                nbytes=request.nbytes,
+                latency_s=engine._now - self.submit_time,
+            )
+        self.succeed(IOResult(request, self.submit_time, engine._now))
+
+
+class _PageRead(Event):
+    """One page read of a host read, as a callback state machine.
+
+    The object fires once the page's data is on the controller.  Hops:
+    start, die grant, sense timeout, bus grant, transfer timeout, then
+    this event.  Reads are not power-governed (module docstring); the die
+    is held from sense start through the bus transfer, as in
+    :meth:`repro.nand.die.NandArray.execute`.
+    """
+
+    __slots__ = ("device", "lpn", "nbytes", "die", "channel")
+
+    def __init__(self, io: _SsdIo, lpn: int, nbytes: int) -> None:
+        Event.__init__(self, io.engine)
+        self.callbacks.append(io._page_done)
+        self.device = io.device
+        self.lpn = lpn
+        self.nbytes = nbytes
+        _hop(io.engine, self._start)
+
+    def _start(self, _event: Event) -> None:
+        device = self.device
+        ppn = device.page_map.lookup(self.lpn)
+        if ppn is None:
+            if not device._phantom_reads:
+                # Unmapped and no preconditioning emulation: zero-fill, only
+                # the controller/DMA cost applies (no NAND touch).
+                self.succeed()
+                return
+            ppn = (self.lpn * _PHANTOM_HASH) % _PHANTOM_MOD % device._total_pages
+        die_index = ppn // device._pages_per_die
+        self.die = die = device._dies[die_index]
+        self.channel = device._channels[die_index // device._dies_per_channel]
+        die._server.request().callbacks.append(self._die_granted)
+
+    def _die_granted(self, _event: Event) -> None:
+        die = self.die
+        die.rail.add_draw(die._component, die._read_draw)
+        Timeout(self.engine, die._read_time).callbacks.append(self._sensed)
+
+    def _sensed(self, _event: Event) -> None:
+        die = self.die
+        die.reads += 1
+        die.rail.add_draw(die._component, -die._read_draw)
+        self.channel._bus.request().callbacks.append(self._bus_granted)
+
+    def _bus_granted(self, _event: Event) -> None:
+        channel = self.channel
+        channel.rail.add_draw(channel._component, channel.transfer_power_w)
+        Timeout(self.engine, self.nbytes / channel.bandwidth).callbacks.append(
+            self._transferred
+        )
+
+    def _transferred(self, _event: Event) -> None:
+        channel = self.channel
+        channel.bytes_transferred += self.nbytes
+        channel.rail.add_draw(channel._component, -channel.transfer_power_w)
+        channel._bus.release()
+        self.die._server.release()
+        self.succeed()
 
 
 @dataclass(frozen=True)
@@ -262,7 +540,7 @@ class SimulatedSSD(StorageDevice):
         self._buffer_used = 0
         self._buffer_waiters: list[Event] = []
         self._pending_program_bytes = 0
-        self._staged_lpns: list[int] = []
+        self._staged_lpns: deque[int] = deque()
         # Power state machinery.
         self._resident: NvmePowerState | None = (
             config.power_states[0] if config.power_states else None
@@ -283,12 +561,21 @@ class SimulatedSSD(StorageDevice):
         self._link_xfer_component = f"{config.name}.link.xfer"
         self._wave_avg_w = config.power_wave_w * config.power_wave_duty
         # Hot-path config scalars, hoisted out of the chained dataclass
-        # attribute lookups the per-IO generators would otherwise repeat.
+        # attribute lookups the per-IO stage methods would otherwise repeat.
         self._page_size = config.geometry.page_size
         self._command_time_s = config.controller.command_time_s
         self._completion_time_s = config.controller.completion_time_s
         self._core_active_w = config.controller.core_active_power_w
         self._write_buffer_bytes = config.write_buffer_bytes
+        # Page-read decode: die and channel straight from the physical page
+        # number (the two fields of ppa_from_index a read needs).
+        geometry = config.geometry
+        self._pages_per_die = geometry.pages_per_die
+        self._dies_per_channel = geometry.dies_per_channel
+        self._total_pages = geometry.total_pages
+        self._phantom_reads = config.phantom_reads
+        self._dies = self.array.dies
+        self._channels = self.array.channels
         self._governor_adapters = {
             kind: _GovernorAdapter(
                 self.governor,
@@ -511,135 +798,7 @@ class SimulatedSSD(StorageDevice):
 
     def submit(self, request: IORequest) -> Event:
         self.check_request(request)
-        done = Event(self.engine)
-        self.engine.process(self._io(request, done))
-        return done
-
-    def _io(self, request: IORequest, done: Event):
-        engine = self.engine
-        submit_time = engine._now
-        tracer = engine.tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.IO_SUBMIT,
-                f"{self.name}.io",
-                kind=request.kind.value,
-                offset=request.offset,
-                nbytes=request.nbytes,
-            )
-        self._last_activity = submit_time
-        self._inflight_ios += 1
-        try:
-            if self.faults.enabled:
-                yield from self.faults.io_delay(
-                    f"{self.name}.io", request.kind.value
-                )
-            if self._resident is not None and not self._resident.operational:
-                yield from self._wake()
-            yield from self._controller_step(self._command_time_s)
-            if request.kind is IOKind.READ:
-                yield from self._read(request)
-            else:
-                yield from self._write(request)
-            if self._completion_time_s > 0:
-                yield engine.timeout(self._completion_time_s)
-        finally:
-            self._inflight_ios -= 1
-            self._last_activity = engine._now
-        self.record_completion(request)
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.IO_COMPLETE,
-                f"{self.name}.io",
-                kind=request.kind.value,
-                nbytes=request.nbytes,
-                latency_s=engine._now - submit_time,
-            )
-        done.succeed(IOResult(request, submit_time, engine._now))
-
-    def _controller_step(self, duration: float):
-        """Occupy a controller core, drawing core-active power."""
-        yield self.cores.request()
-        rail = self.rail
-        active_w = self._core_active_w
-        rail.add_draw("ctrl.active", active_w)
-        try:
-            yield self.engine.timeout(duration)
-        finally:
-            rail.add_draw("ctrl.active", -active_w)
-            self.cores.release()
-
-    # -- read path ---------------------------------------------------------------
-
-    def _read(self, request: IORequest):
-        page_size = self._page_size
-        first = request.offset // page_size
-        last = (request.end - 1) // page_size
-        readers = []
-        for lpn in range(first, last + 1):
-            page_start = lpn * page_size
-            nbytes = min(request.end, page_start + page_size) - max(
-                request.offset, page_start
-            )
-            readers.append(self.engine.process(self._read_page(lpn, nbytes)))
-        yield self.engine.all_of(readers)
-        yield from self.link.transfer(request.nbytes)
-
-    def _read_page(self, lpn: int, nbytes: int):
-        ppn = self.page_map.lookup(lpn)
-        geometry = self.config.geometry
-        if ppn is None:
-            if not self.config.phantom_reads:
-                # Unmapped and no preconditioning emulation: zero-fill, only
-                # the controller/DMA cost applies (no NAND touch).
-                return
-            ppn = (lpn * _PHANTOM_HASH) % _PHANTOM_MOD % geometry.total_pages
-        ppa = geometry.ppa_from_index(ppn)
-        # Reads are not power-governed: see module docstring.  The array's
-        # READ path (die sense, then bus transfer) is inlined verbatim from
-        # NandArray.execute / ChannelBus.transfer: page reads are per-page
-        # processes, and every helper generator frame taxes each event.
-        array = self.array
-        die = array.dies[ppa.die_index(geometry)]
-        watts = array._op_draw[OpKind.READ]
-        engine = self.engine
-        yield die._server.request()
-        try:
-            rail = die.rail
-            component = die._component
-            rail.add_draw(component, watts)
-            try:
-                yield engine.timeout(die._op_duration[OpKind.READ])
-                die.op_counts[OpKind.READ] += 1
-            finally:
-                rail.add_draw(component, -watts)
-            channel = array.channels[ppa.channel]
-            yield channel._bus.request()
-            component = channel._component
-            power = channel.transfer_power_w
-            rail.add_draw(component, power)
-            try:
-                yield engine.timeout(nbytes / channel.bandwidth)
-                channel.bytes_transferred += nbytes
-            finally:
-                rail.add_draw(component, -power)
-                channel._bus.release()
-        finally:
-            die._server.release()
-
-    # -- write path -----------------------------------------------------------------
-
-    def _write(self, request: IORequest):
-        yield from self.link.transfer(request.nbytes)
-        yield from self._buffer_reserve(request.nbytes)
-        self.wear.record_host_write(request.nbytes)
-        self._stage_mapped_lpns(request)
-        page_size = self._page_size
-        self._pending_program_bytes += request.nbytes
-        while self._pending_program_bytes >= page_size:
-            self._pending_program_bytes -= page_size
-            self.engine.process(self._program_unit())
-        # Residual bytes stay buffered until later writes complete the page.
+        return _SsdIo(self, request)
 
     def _stage_mapped_lpns(self, request: IORequest) -> None:
         """Queue LPNs fully covered by this write for mapping updates."""
@@ -649,26 +808,6 @@ class SimulatedSSD(StorageDevice):
         for lpn in range(first_full, last_full):
             if lpn < self.page_map.logical_pages:
                 self._staged_lpns.append(lpn)
-
-    def _buffer_reserve(self, nbytes: int):
-        """Process generator: wait for ``nbytes`` of DRAM buffer space."""
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            # Buffer admission is the capped-write stall mechanism (Fig. 5):
-            # a hit absorbs the write at DMA speed, a miss parks the host
-            # behind the throttled flush.
-            fits = self._buffer_used + nbytes <= self._write_buffer_bytes
-            tracer.emit(
-                EventKind.CACHE_HIT if fits else EventKind.CACHE_MISS,
-                f"{self.name}.wbuf",
-                nbytes=nbytes,
-                used=self._buffer_used,
-            )
-        while self._buffer_used + nbytes > self._write_buffer_bytes:
-            event = Event(self.engine)
-            self._buffer_waiters.append(event)
-            yield event
-        self._buffer_used += nbytes
 
     def _buffer_release(self, nbytes: int) -> None:
         self._buffer_used -= nbytes
@@ -711,7 +850,7 @@ class SimulatedSSD(StorageDevice):
                 if not made_progress and self.allocator.free_blocks == 0:
                     raise
         if self._staged_lpns:
-            lpn = self._staged_lpns.pop(0)
+            lpn = self._staged_lpns.popleft()
             stale = self.page_map.bind(lpn, ppn)
             if stale is not None:
                 self.allocator.mark_invalid(stale)
@@ -765,13 +904,13 @@ class SimulatedSSD(StorageDevice):
                             yield engine.timeout(phase_time)
                         finally:
                             rail.add_draw(component, -power_w)
-                    die.op_counts[OpKind.PROGRAM] += 1
+                    die._op_counts[OpKind.PROGRAM] += 1
                 else:
                     component = die._component
                     rail.add_draw(component, watts)
                     try:
                         yield engine.timeout(die._op_duration[OpKind.PROGRAM])
-                        die.op_counts[OpKind.PROGRAM] += 1
+                        die._op_counts[OpKind.PROGRAM] += 1
                     finally:
                         rail.add_draw(component, -watts)
             finally:

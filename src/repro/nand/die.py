@@ -85,9 +85,23 @@ class NandDie:
         self._prog_p_rest = (
             draw * duration - self._prog_p_pulse * self._prog_t_pulse
         ) / (duration - self._prog_t_pulse)
-        self.op_counts: dict[OpKind, int] = {kind: 0 for kind in OpKind}
+        # Page reads are the per-IO hot path of every read workload: their
+        # time and draw are plain scalars and their count a plain int, so
+        # a read costs no OpKind-keyed dict lookup.  ``op_counts`` reports
+        # ``reads`` under OpKind.READ.
+        self._read_time = self._op_duration[OpKind.READ]
+        self._read_draw = self._op_draw[OpKind.READ]
+        self.reads = 0
+        self._op_counts: dict[OpKind, int] = {kind: 0 for kind in OpKind}
         if power.p_idle:
             rail.set_draw(self._component, power.p_idle)
+
+    @property
+    def op_counts(self) -> dict[OpKind, int]:
+        """Completed operations per kind."""
+        counts = dict(self._op_counts)
+        counts[OpKind.READ] = self.reads
+        return counts
 
     @property
     def busy(self) -> bool:
@@ -118,7 +132,10 @@ class NandDie:
             rail.add_draw(component, draw)
             try:
                 yield self.engine.timeout(duration)
-                self.op_counts[kind] += 1
+                if kind is OpKind.READ:
+                    self.reads += 1
+                else:
+                    self._op_counts[kind] += 1
             finally:
                 rail.add_draw(component, -draw)
             return
@@ -139,7 +156,7 @@ class NandDie:
                 yield self.engine.timeout(phase_time)
             finally:
                 self.rail.add_draw(self._component, -power_w)
-        self.op_counts[kind] += 1
+        self._op_counts[kind] += 1
 
 
 class NandArray:
@@ -260,14 +277,14 @@ class NandArray:
                                 yield engine.timeout(phase_time)
                             finally:
                                 rail.add_draw(component, -power_w)
-                        die.op_counts[kind] += 1
+                        die._op_counts[kind] += 1
                     else:
                         rail = die.rail
                         component = die._component
                         rail.add_draw(component, watts)
                         try:
                             yield self.engine.timeout(die._op_duration[kind])
-                            die.op_counts[kind] += 1
+                            die._op_counts[kind] += 1
                         finally:
                             rail.add_draw(component, -watts)
                 finally:
@@ -281,8 +298,8 @@ class NandArray:
                     component = die._component
                     rail.add_draw(component, watts)
                     try:
-                        yield self.engine.timeout(die._op_duration[kind])
-                        die.op_counts[kind] += 1
+                        yield self.engine.timeout(die._read_time)
+                        die.reads += 1
                     finally:
                         rail.add_draw(component, -watts)
                 finally:

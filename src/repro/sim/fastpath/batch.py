@@ -1,17 +1,17 @@
 """Batched read dispatch: the NAND timing model as a flat event sweep.
 
-The general kernel walks every read through generator coroutines,
+The general kernel walks every read through the SSD's callback state
+machines (``_SsdIo`` and ``_PageRead`` in :mod:`repro.devices.ssd`),
 ``Event`` objects with callback lists, and ``Resource`` grant machinery
--- roughly nine allocated events per IO plus six per page.  For a
+-- eight allocated events per IO plus six per page.  For a
 read-only job on an operational SSD the service network is fixed (cores
 -> dies -> channels -> host link -> completion) with deterministic
 service times, so this module replays the identical queueing discipline
 as a flat sweep: one heap of plain tuples, per-station FIFO deques, and
-scalar timestamps.  No coroutines, no Event allocation, no callback
-dispatch.
+scalar timestamps.  No Event allocation, no callback dispatch.
 
 The sweep is *hop-faithful*: every heap entry the event engine would
-create on this path (process spawn, resource grant, timeout) has a flat
+create on this path (start hop, resource grant, timeout) has a flat
 counterpart scheduled at the same instant, and sequence numbers are
 assigned at the same moments the engine assigns them.  That matters
 because the engine breaks same-instant ties by its global ``(time,
@@ -33,7 +33,6 @@ import heapq
 from collections import deque
 
 from repro.iogen.stats import IoRecord
-from repro.nand.ops import OpKind
 
 __all__ = ["run_batched_read_job"]
 
@@ -43,20 +42,20 @@ _PHANTOM_MOD = 2**32
 # Flat mirrors of the event kernel's hops, one kind per heap entry the
 # engine would create (heap entries sort by (time, seq); kind is payload).
 _LOOP = 0  # worker resumes its submit loop
-_IO_START = 1  # SimulatedSSD._io process spawn: request a core
-_CORE_GRANT = 2  # cores.request() granted
-_CORE_END = 3  # command-time timeout fires; spawn page processes
-_PAGE_START = 4  # _read_page process spawn: request the die
-_DIE_GRANT = 5  # die._server.request() granted
-_SENSE_END = 6  # sense timeout fires; request the channel bus
-_CHAN_GRANT = 7  # channel._bus.request() granted
-_XFER_END = 8  # bus transfer timeout fires; release channel + die
-_PAGE_DONE = 9  # _read_page process-done event
-_ALLOF = 10  # all_of(readers) fires; request the host link
-_LINK_GRANT = 11  # link._bus.request() granted
-_LINK_END = 12  # link transfer timeout fires
-_COMPLETE = 13  # completion-time timeout fires
-_IO_DONE = 14  # the IO's done event; worker appends its record
+_IO_START = 1  # _SsdIo._start (start hop): request a core
+_CORE_GRANT = 2  # _SsdIo._core_granted: cores.request() granted
+_CORE_END = 3  # _SsdIo._command_done: command timeout; spawn page reads
+_PAGE_START = 4  # _PageRead._start (start hop): request the die
+_DIE_GRANT = 5  # _PageRead._die_granted: die._server.request() granted
+_SENSE_END = 6  # _PageRead._sensed: sense timeout; request the channel bus
+_CHAN_GRANT = 7  # _PageRead._bus_granted: channel._bus.request() granted
+_XFER_END = 8  # _PageRead._transferred: release channel + die
+_PAGE_DONE = 9  # _SsdIo._page_done: the _PageRead fires
+_ALLOF = 10  # _SsdIo._request_link (all-of hop): request the host link
+_LINK_GRANT = 11  # _SsdIo._link_granted: link._bus.request() granted
+_LINK_END = 12  # _SsdIo._link_done: link transfer timeout
+_COMPLETE = 13  # _SsdIo._complete: completion-time timeout
+_IO_DONE = 14  # the _SsdIo (the IO's done event); worker appends its record
 
 
 def run_batched_read_job(engine, device, job) -> int:
@@ -81,8 +80,8 @@ def run_batched_read_job(engine, device, job) -> int:
     cmd_t = config.controller.command_time_s
     completion_t = config.controller.completion_time_s
     core_w = config.controller.core_active_power_w
-    die_read_t = device.array.dies[0]._op_duration[OpKind.READ]
-    die_read_w = device.array._op_draw[OpKind.READ]
+    die_read_t = device.array.dies[0]._read_time
+    die_read_w = device.array.dies[0]._read_draw
     chan_bw = config.channel_bandwidth
     chan_w = config.channel_transfer_power_w
     link = device.link
@@ -98,7 +97,7 @@ def run_batched_read_job(engine, device, job) -> int:
     # Stations mirror Resource exactly: cores are a counting semaphore
     # with a FIFO waiter deque; dies, channels, and the link are
     # single-server FIFO (the die is held from sense start through
-    # channel-transfer end, as in SimulatedSSD._read_page).
+    # channel-transfer end, as in _PageRead).
     cores_cap = config.controller.cores
     cores_used = 0
     core_waiters: deque = deque()
@@ -153,8 +152,8 @@ def run_batched_read_job(engine, device, job) -> int:
             push(heap, (t + c / chan_bw, seq, _XFER_END, a, b, c))
         elif kind == _XFER_END:
             # a = io_id, b = die index, c = nbytes.  Creation order
-            # mirrors _read_page's unwind: channel release first, then
-            # die release, then the page process-done event.
+            # mirrors _PageRead._transferred: channel release first,
+            # then die release, then the page-done event.
             channel = b // dies_per_channel
             chan_bytes[channel] += c
             edge((t, -chan_w))
@@ -270,8 +269,8 @@ def run_batched_read_job(engine, device, job) -> int:
             seq += 1
             push(heap, (t + cmd_t, seq, _CORE_END, a, 0, 0))
         else:  # _CORE_END
-            # _controller_step unwinds (release grants the next waiter)
-            # *before* _read spawns the page processes.
+            # _SsdIo._command_done releases the core (granting the next
+            # waiter) *before* it spawns the page reads.
             edge((t, -core_w))
             if core_waiters:
                 seq += 1
@@ -328,7 +327,7 @@ def run_batched_read_job(engine, device, job) -> int:
 
     # -- per-die / per-channel / device accounting ----------------------
     for die, count in zip(device.array.dies, die_counts):
-        die.op_counts[OpKind.READ] += count
+        die.reads += count
     for chan, nbytes in zip(device.array.channels, chan_bytes):
         chan.bytes_transferred += nbytes
     device.ios_completed += dispatched

@@ -143,7 +143,98 @@ def golden_configs() -> dict:
             window_s=4e-3,
         ),
     )
+    # IO-path branches the grid above never reaches: the pre-IO fault
+    # delay (latency spikes and retried IO errors), the device waking
+    # out of an APST doze, and the host link waking out of ALPM slumber.
+    from repro.devices.catalog import ssd_d7p5510, ssd_pm1743
+    from repro.devices.link import LinkPowerMode
+    from repro.faults.plan import FaultPlan, IoErrorSpec, LatencySpikeSpec
+
+    io_faults = FaultPlan(
+        io_errors=IoErrorSpec(probability=0.2, retry_cost_s=40e-6),
+        latency_spikes=(
+            LatencySpikeSpec(
+                start_s=2e-3, duration_s=3e-3, extra_s=150e-6, repeat_every_s=8e-3
+            ),
+        ),
+    )
+    for pattern in (IoPattern.RANDREAD, IoPattern.RANDWRITE):
+        configs[f"ssd2_{pattern.value}_faults"] = ExperimentConfig(
+            device="ssd2", job=job(pattern, 8), faults=io_faults, seed=7
+        )
+    # Two workers with long host think time: APST dozes between IOs, one
+    # IO pays the exit latency and the other waits on the ready gate.
+    configs["pm1743_randread_apst"] = ExperimentConfig(
+        device=dataclasses.replace(ssd_pm1743(), apst_idle_timeout_s=0.5e-3),
+        job=JobSpec(
+            pattern=IoPattern.RANDREAD,
+            block_size=64 * 1024,
+            iodepth=2,
+            runtime_s=0.05,
+            size_limit_bytes=8 * MiB,
+            host_overhead_s=3e-3,
+        ),
+        seed=7,
+    )
+    configs["ssd3_randwrite_alpm"] = ExperimentConfig(
+        device="ssd3",
+        job=job(IoPattern.RANDWRITE, 8),
+        alpm_mode=LinkPowerMode.SLUMBER,
+        seed=7,
+    )
+    # A 1 MiB write buffer under a power cap: most writes park in the
+    # buffer-admission wait loop behind the throttled flush.
+    configs["ssd2_randwrite_smallbuf"] = ExperimentConfig(
+        device=dataclasses.replace(ssd_d7p5510(), write_buffer_bytes=1 * MiB),
+        job=job(IoPattern.RANDWRITE, 8),
+        power_state=2,
+        seed=7,
+    )
     return configs
+
+
+#: Traced twins of grid cases: the fixture pins a digest of the tracer's
+#: event stream (the results themselves are pinned by the untraced case,
+#: and tracing is passive).
+TRACED_CASES = {
+    "ssd2_randread_traced": "ssd2_randread",
+    "ssd2_randwrite_smallbuf_traced": "ssd2_randwrite_smallbuf",
+}
+
+
+def run_traced(name: str):
+    """Run the grid case behind traced golden ``name``; return the tracer."""
+    from repro.core.experiment import run_experiment
+    from repro.obs.events import Tracer
+
+    tracer = Tracer()
+    run_experiment(golden_configs()[TRACED_CASES[name]], tracer=tracer)
+    return tracer
+
+
+def trace_digest(tracer) -> object:
+    """Event count, per-kind counts and a SHA-256 of the event stream."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    kinds: dict = {}
+    for event in tracer:
+        kinds[event.kind.value] = kinds.get(event.kind.value, 0) + 1
+        record = [
+            event.time.hex(),
+            event.seq,
+            event.kind.value,
+            event.component,
+            event.scope,
+            flatten(event.fields),
+        ]
+        digest.update(json.dumps(record).encode())
+        digest.update(b"\n")
+    return {
+        "events": len(tracer),
+        "kinds": [[kind, count] for kind, count in sorted(kinds.items())],
+        "sha256": digest.hexdigest(),
+    }
 
 
 def compute_fleet_golden() -> object:
@@ -180,6 +271,8 @@ def compute_fleet_golden() -> object:
 def compute_golden(name: str) -> object:
     if name == "fleet_tiny":
         return compute_fleet_golden()
+    if name in TRACED_CASES:
+        return trace_digest(run_traced(name))
     from repro.core.experiment import run_experiment
 
     return flatten(run_experiment(golden_configs()[name]))
@@ -187,7 +280,7 @@ def compute_golden(name: str) -> object:
 
 def golden_names() -> list:
     """Every golden fixture name, experiment grid plus composite runs."""
-    return sorted(golden_configs()) + ["fleet_tiny"]
+    return sorted(golden_configs()) + sorted(TRACED_CASES) + ["fleet_tiny"]
 
 
 def main(argv=None) -> int:
