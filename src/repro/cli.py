@@ -55,6 +55,7 @@ chrome format loads directly in Perfetto (https://ui.perfetto.dev).
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Optional, Sequence
 
 from repro._units import parse_size
@@ -82,6 +83,36 @@ def _workers_arg(value: str) -> Optional[int]:
             f"worker count must be >= 1 (or 'all'), got {workers}"
         )
     return workers
+
+
+def _timeout_arg(value: str) -> float:
+    """Parse ``--timeout``: a positive, finite number of seconds."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {value!r}"
+        ) from None
+    if not (seconds > 0 and math.isfinite(seconds)):
+        raise argparse.ArgumentTypeError(
+            f"timeout must be a positive number of seconds, got {value!r}"
+        )
+    return seconds
+
+
+def _retries_arg(value: str) -> int:
+    """Parse ``--retries``: a non-negative integer."""
+    try:
+        retries = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}"
+        ) from None
+    if retries < 0:
+        raise argparse.ArgumentTypeError(
+            f"retry count must be >= 0, got {value!r}"
+        )
+    return retries
 
 
 def _faults_arg(value: str):
@@ -200,7 +231,7 @@ def _resilience_parent(
     if pool_controls:
         group.add_argument(
             "--timeout",
-            type=float,
+            type=_timeout_arg,
             default=None,
             metavar="SECONDS",
             help="wall-clock budget per point attempt; hung workers are "
@@ -208,7 +239,7 @@ def _resilience_parent(
         )
         group.add_argument(
             "--retries",
-            type=int,
+            type=_retries_arg,
             default=0,
             help="extra attempts per failing point (timeouts, crashes, "
             "exceptions)",

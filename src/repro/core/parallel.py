@@ -15,32 +15,37 @@ sweep layer, the figure drivers and the CLI share:
   content hash of the config, so re-runs of overlapping grids skip
   already-computed points;
 - :class:`RetryPolicy` — resilient execution: per-point wall-clock
-  timeouts, bounded retries with exponential backoff and deterministic
-  jitter, and survival of hard worker crashes (the crashed point is
-  re-dispatched to a fresh worker);
-- graceful fallback to in-process execution when ``n_workers == 1`` or
-  the platform cannot provide a process pool.
+  timeouts and bounded retries with exponential backoff and
+  deterministic jitter;
+- in-process execution when a tracer rides along, when the batch has a
+  single pending point or ``n_workers == 1`` (and no resilient policy),
+  or — with a :class:`RuntimeWarning` — when the platform cannot start
+  the worker pool.
+
+Pool note: every pooled batch runs on one owned worker pool — forked
+processes, one command pipe each.  The parent can ``terminate()`` a
+worker it owns at a deadline and replace it, which a stdlib executor
+cannot do (its shutdown joins a hung worker).  Without a policy the
+pool runs with the default :class:`RetryPolicy` (no deadline, no
+retries): a worker that dies mid-point (segfault, OOM kill,
+``os._exit``) becomes that point's ``WorkerCrashError``
+:class:`PointFailure` while the rest of the batch completes.  A policy
+only adds deadlines and retries to the same pool.  Retry scheduling
+(backoff, jitter) is wall-clock only and never touches simulation
+state, so resilient execution reproduces plain execution bit for bit
+for every point that completes.
 
 Telemetry note: when a
 :class:`~repro.core.telemetry.TelemetryRecorder` rides along (sweep
 telemetry, live progress, or a run ledger was requested), workers ship a
-compact :class:`~repro.obs.profile.PointProfile` back over the existing
-pipe protocol next to each outcome, and the parent folds queue/dispatch
-timestamps into per-point lifecycle spans.  The recorder is wall-clock
-only and strictly passive: results are bit-identical with and without it
-(the telemetry-overhead benchmark holds that line).  The same aux channel
-lets a parent :class:`~repro.obs.profile.RunProfiler` see pool execution:
-per-worker profiles merge back in submission order instead of forcing
-the whole batch in-process.
-
-Resilience note: a :class:`RetryPolicy` with a timeout or retries runs
-points on a dedicated pipe-connected worker pool rather than
-``ProcessPoolExecutor`` — the stdlib pool cannot kill a hung worker
-(``shutdown`` joins it), while a directly-owned process can be
-``terminate()``-d at its deadline and replaced.  Retry scheduling
-(backoff, jitter) is wall-clock only and never touches simulation
-state, so resilient execution reproduces plain execution bit for bit
-for every point that completes.
+compact :class:`~repro.obs.profile.PointProfile` back over the pipe
+next to each outcome, and the parent folds queue/dispatch timestamps
+into per-point lifecycle spans.  The recorder is wall-clock only and
+strictly passive: results are bit-identical with and without it (the
+telemetry-overhead benchmark holds that line).  The same aux channel
+lets a parent :class:`~repro.obs.profile.RunProfiler` see pool
+execution: per-worker profiles merge back in submission order instead
+of forcing the whole batch in-process.
 
 Determinism note: parallel execution only matches sequential execution
 because per-point seeds are *process-stable* (derived via
@@ -62,8 +67,6 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
@@ -423,7 +426,7 @@ def _run_point_inprocess(
     """In-process execution with the policy's retry loop.
 
     Timeouts are not enforceable here (there is no worker to kill);
-    callers that need them route through the resilient pool instead.
+    callers that need them route through the worker pool instead.
     The cache write happens *before* the DONE journal record so a crash
     between the two can never leave a "done" point without its result --
     resume trusts the journal's DONE to mean "persisted".
@@ -455,7 +458,7 @@ def _run_point_inprocess(
     return outcome
 
 
-# -- resilient pool ---------------------------------------------------------
+# -- worker pool ------------------------------------------------------------
 
 
 def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
@@ -484,7 +487,7 @@ def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
 
 @dataclass
 class _Attempt:
-    """One point making its way through the resilient pool."""
+    """One point making its way through the worker pool."""
 
     index: int
     config: ExperimentConfig
@@ -527,18 +530,18 @@ class _WorkerSlot:
         self.process.join(timeout=5.0)
 
 
-def _run_resilient(
-    tasks: List[_Attempt],
+def _run_pool(
+    configs: List[ExperimentConfig],
+    pending: List[int],
+    key_for,
     workers: int,
     policy: RetryPolicy,
     journal: Optional[CheckpointJournal],
-    cache: Optional["ResultCache"] = None,
-    recorder=None,
-    collect_aux: bool = False,
-) -> tuple[
-    Dict[int, Union[ExperimentResult, PointFailure]], Dict[int, object]
-]:
-    """Run points on an owned worker pool that can kill and re-dispatch.
+    cache: Optional[ResultCache],
+    profiler,
+    recorder,
+) -> List[Union[ExperimentResult, PointFailure]]:
+    """Run the pending points on an owned worker pool, in submission order.
 
     The loop keeps every worker busy while work remains, terminates
     workers that blow their per-attempt deadline, treats a dead pipe as
@@ -546,16 +549,21 @@ def _run_resilient(
     delay) until the retry budget is spent.  Worker loss of any kind is
     survived by spawning a replacement.
 
-    With ``collect_aux``, workers return a per-point
+    If the platform cannot start the pool (no fork start method, or the
+    first worker fails to start), the batch runs in-process instead,
+    with a :class:`RuntimeWarning`; nothing has been dispatched by then,
+    so no point runs twice.
+
+    With a ``profiler`` or ``recorder``, workers return a per-point
     :class:`~repro.obs.profile.PointProfile` next to each outcome; the
-    profiles of final attempts come back in the second mapping (index ->
-    profile) so the caller can merge them into a parent profiler in
-    submission order.  ``recorder`` (a
+    profiles of final attempts merge into ``profiler`` in submission
+    order.  ``recorder`` (a
     :class:`~repro.core.telemetry.TelemetryRecorder`) is fed dispatch,
     retry, worker-lifecycle and terminal events; both are wall-clock
     only and never touch the outcomes.
     """
-    ctx = multiprocessing.get_context("fork")
+    collect_aux = profiler is not None or recorder is not None
+    tasks = [_Attempt(index=i, config=configs[i], key=key_for(i)) for i in pending]
     results: Dict[int, Union[ExperimentResult, PointFailure]] = {}
     profiles: Dict[int, object] = {}
     queue = deque(tasks)
@@ -571,9 +579,20 @@ def _run_resilient(
             recorder.worker_spawned(slot.worker_id)
         return slot
 
-    pool: List[_WorkerSlot] = [
-        new_slot() for _ in range(min(workers, len(tasks)))
-    ]
+    try:
+        ctx = multiprocessing.get_context("fork")
+        pool: List[_WorkerSlot] = [new_slot()]
+    except (ValueError, OSError) as exc:  # OSError covers PermissionError
+        warnings.warn(
+            f"process pool unavailable ({exc!r}); "
+            "falling back to in-process execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return _run_pending_inprocess(
+            configs, pending, key_for, policy, journal, cache,
+            None, profiler, recorder,
+        )
 
     def give_up(task: _Attempt, error: str, message: str) -> None:
         failure = PointFailure(
@@ -636,6 +655,7 @@ def _run_resilient(
             pool.append(new_slot())
 
     try:
+        pool.extend(new_slot() for _ in range(min(workers, len(tasks)) - 1))
         while queue or delayed or any(slot.busy for slot in pool):
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -750,40 +770,9 @@ def _run_resilient(
                 slot.kill()
             if recorder is not None:
                 recorder.worker_retired(slot.worker_id)
-    return results, profiles
-
-
-def _run_batch(
-    configs: Sequence[ExperimentConfig],
-    workers: int,
-    collect_aux: bool = False,
-) -> List[tuple]:
-    """Run a plain (no-policy) batch, returning ``(outcome, aux)`` pairs.
-
-    ``aux`` is each point's :class:`~repro.obs.profile.PointProfile` when
-    ``collect_aux`` is set and ``None`` otherwise.
-    """
-    entry = _run_config_aux if collect_aux else _run_config
-    outcomes = None
-    if workers > 1 and len(configs) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-                outcomes = list(pool.map(entry, configs))
-        except (OSError, BrokenProcessPool, PermissionError) as exc:
-            # Platforms without usable multiprocessing primitives (or a
-            # pool torn down under us): degrade to in-process execution
-            # rather than failing the sweep.
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                "falling back to in-process execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    if outcomes is None:
-        outcomes = [entry(config) for config in configs]
-    if collect_aux:
-        return outcomes
-    return [(outcome, None) for outcome in outcomes]
+    if profiler is not None:
+        _merge_profiles(profiler, (profiles.get(i) for i in pending))
+    return [results[i] for i in pending]
 
 
 def run_configs(
@@ -809,11 +798,13 @@ def run_configs(
             ``journal`` is given.  The legacy individual-argument form
             (``n_workers``, ``cache_dir``, ``tracer``, ``profiler``)
             still works but emits a :class:`DeprecationWarning`.
-        policy: Optional :class:`RetryPolicy`.  A resilient policy
-            (timeout or retries) runs points on an owned worker pool
-            that can terminate hung workers at their deadline, survive
-            hard crashes, and re-dispatch failed attempts after a
-            deterministic backoff.
+        policy: Optional :class:`RetryPolicy`.  Every pooled batch runs
+            on one owned worker pool; without a policy it has no
+            deadline and no retries, and a worker crash fails only its
+            own point.  A policy adds deadlines (hung workers are
+            terminated) and retries (failed attempts re-dispatch after a
+            deterministic backoff) to that pool; a resilient policy uses
+            the pool even for one point or ``n_workers == 1``.
         journal: Optional open :class:`CheckpointJournal` recording each
             point's lifecycle (keyed by :func:`config_content_hash`), so
             an interrupted sweep can be resumed and audited.
@@ -954,12 +945,15 @@ def _execute_configs(
     """The execution engine behind :func:`run_configs` (resolved knobs).
 
     ``cache`` reads/writes results keyed by :func:`config_content_hash`
-    (failures are never cached).  A tracer forces in-process execution
-    regardless of ``n_workers`` (events cannot cross a process boundary
-    in order); a profiler no longer does -- pool workers ship their
-    per-point profiles back and the parent merges them in submission
-    order.  Results are identical on every path (that equivalence is
-    under test).
+    (failures are never cached).  Two execution branches: a tracer
+    forces in-process execution regardless of ``n_workers`` (events
+    cannot cross a process boundary in order); otherwise more than one
+    pending point with ``n_workers > 1``, or a resilient policy, runs on
+    the owned worker pool (:func:`_run_pool`), and anything else runs
+    in-process.  A profiler does not force in-process execution: pool
+    workers ship their per-point profiles back and the parent merges
+    them in submission order.  Results are identical on every path
+    (that equivalence is under test).
     """
     workers = resolve_workers(n_workers)
 
@@ -987,10 +981,14 @@ def _execute_configs(
 
     if pending:
         resilient = policy is not None and policy.resilient
-        collect_aux = profiler is not None or recorder is not None
-        pooled = workers > 1 and len(pending) > 1
-        if tracer is not None:
-            if resilient and policy.timeout_s is not None:
+        if tracer is None and (resilient or (workers > 1 and len(pending) > 1)):
+            fresh = _run_pool(
+                configs, pending, key_for, workers,
+                policy if policy is not None else RetryPolicy(),
+                journal, cache, profiler, recorder,
+            )
+        else:
+            if tracer is not None and resilient and policy.timeout_s is not None:
                 warnings.warn(
                     "tracing forces in-process execution; per-point "
                     "timeouts cannot be enforced without a worker "
@@ -1001,49 +999,6 @@ def _execute_configs(
             fresh = _run_pending_inprocess(
                 configs, pending, key_for, policy, journal, cache,
                 tracer, profiler, recorder,
-            )
-        elif resilient or (recorder is not None and pooled):
-            # Telemetry without a policy still runs on the owned pool:
-            # it is the only pooled path with per-dispatch visibility,
-            # and with the default policy (no timeout, no retries) it
-            # behaves exactly like the plain pool.
-            pool_policy = policy if policy is not None else RetryPolicy()
-            tasks = [
-                _Attempt(index=i, config=configs[i], key=key_for(i))
-                for i in pending
-            ]
-            by_index, aux_by_index = _run_resilient(
-                tasks,
-                workers,
-                pool_policy,
-                journal,
-                cache,
-                recorder=recorder,
-                collect_aux=collect_aux,
-            )
-            fresh = [by_index[i] for i in pending]
-            if profiler is not None:
-                _merge_profiles(
-                    profiler, (aux_by_index.get(i) for i in pending)
-                )
-        elif pooled:
-            if journal is not None:
-                for i in pending:
-                    journal.record(key_for(i), PointState.IN_FLIGHT)
-            pairs = _run_batch(
-                [configs[i] for i in pending], workers, collect_aux
-            )
-            fresh = [outcome for outcome, _ in pairs]
-            for i, outcome in zip(pending, fresh):
-                if cache is not None and isinstance(outcome, ExperimentResult):
-                    cache.put(configs[i], outcome)
-                _journal_final(journal, key_for(i), outcome, 1)
-            if profiler is not None:
-                _merge_profiles(profiler, (aux for _, aux in pairs))
-        else:
-            fresh = _run_pending_inprocess(
-                configs, pending, key_for, policy, journal, cache,
-                None, profiler, recorder,
             )
         for index, outcome in zip(pending, fresh):
             outcomes[index] = outcome

@@ -1,9 +1,17 @@
 """Tests for the parallel sweep execution subsystem."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
 from repro._units import KiB, MiB
 from repro.core import parallel
+from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.parallel import (
     PointFailure,
     ResultCache,
@@ -17,13 +25,19 @@ from repro.iogen.spec import IoPattern, JobSpec
 from tests.conftest import tiny_ssd_config
 
 
-def quick_job():
+def quick_job(iodepth=4):
     return JobSpec(
         IoPattern.RANDREAD,
         block_size=16 * KiB,
-        iodepth=4,
+        iodepth=iodepth,
         runtime_s=0.01,
         size_limit_bytes=4 * MiB,
+    )
+
+
+def quick_config(iodepth=4):
+    return ExperimentConfig(
+        device=tiny_ssd_config(), job=quick_job(iodepth), seed=9
     )
 
 
@@ -59,10 +73,12 @@ class TestParallelEquivalence:
         assert list(results) == list(grid.points())
 
     def test_pool_failure_falls_back_in_process(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
+        def broken_start(self):
             raise OSError("no semaphores on this platform")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(
+            multiprocessing.context.ForkProcess, "start", broken_start
+        )
         grid = small_grid()
         with pytest.warns(RuntimeWarning, match="falling back"):
             results = run_sweep(grid, n_workers=4)
@@ -81,6 +97,78 @@ class TestParallelEquivalence:
             resolve_workers(0)
         with pytest.raises(ValueError, match="positive integer"):
             resolve_workers(-2)
+
+
+class TestOnePool:
+    """Every pooled batch runs on the owned fork pool, policy or not."""
+
+    def test_plain_batch_worker_crash_fails_only_its_point(self, monkeypatch):
+        real = parallel.run_experiment
+        parent_pid = os.getpid()
+
+        def crash_deep_in_worker(config):
+            if os.getpid() != parent_pid and config.job.iodepth == 8:
+                os._exit(13)  # simulates segfault / OOM kill
+            return real(config)
+
+        monkeypatch.setattr(parallel, "run_experiment", crash_deep_in_worker)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            healthy, crashed = run_configs(
+                [quick_config(4), quick_config(8)], n_workers=2
+            )
+        assert isinstance(healthy, ExperimentResult)
+        assert healthy.mean_power_w > 0
+        assert isinstance(crashed, PointFailure)
+        assert crashed.error_type == "WorkerCrashError"
+        assert crashed.attempts == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert multiprocessing.active_children() == []
+
+    def test_import_never_loads_a_second_pool(self):
+        """``import repro`` and a pooled batch run with concurrent.futures
+        poisoned, so the stdlib executor cannot creep back in."""
+        script = """
+import sys
+
+
+class Poison:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("concurrent.futures"):
+            raise ImportError("second worker pool loaded: " + name)
+        return None
+
+
+sys.meta_path.insert(0, Poison())
+import repro
+from repro.core.experiment import ExperimentConfig
+from repro.core.parallel import run_configs
+from repro.iogen.spec import IoPattern, JobSpec
+
+assert "concurrent.futures" not in sys.modules
+configs = [
+    ExperimentConfig(
+        device="ssd3",
+        job=JobSpec(IoPattern.RANDREAD, block_size=16384, iodepth=depth,
+                    runtime_s=0.005, size_limit_bytes=2 * 1024 * 1024),
+    )
+    for depth in (1, 4)
+]
+assert all(r.mean_power_w > 0 for r in run_configs(configs, n_workers=2))
+assert "concurrent.futures" not in sys.modules
+print("clean")
+"""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "clean"
 
 
 class TestFailureCapture:

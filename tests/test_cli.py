@@ -34,6 +34,25 @@ class TestParser:
             )
         assert "worker count must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--timeout", "abc"),
+            ("--retries", "-1"),
+            ("--retries", "abc"),
+        ],
+    )
+    def test_bad_pool_controls_are_usage_errors(self, flag, bad, capsys):
+        """Exit 2 (usage), never 1 (points failed), naming the value."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--device", "ssd3", flag, bad])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        assert repr(bad) in err
+
     def test_workers_all_means_every_core(self):
         args = build_parser().parse_args(
             ["sweep", "--device", "ssd3", "--workers", "all"]
